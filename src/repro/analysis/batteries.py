@@ -17,7 +17,7 @@ Each play yields ``(history, summary, label)``; classification
 evaluates safety on the history and liveness on the summary.  All
 plays are built as :class:`~repro.engine.batch.PlayTask`\\ s and
 executed through the engine's batch runner — serially by default, or
-on a process pool under ``processes`` / ``REPRO_ENGINE_PARALLEL``.
+on a process pool under ``REPRO_ENGINE_PARALLEL``.
 
 The campaign grid axes select battery subsets uniformly:
 ``schedulers`` restricts the schedule families, ``crash`` injects a
@@ -136,7 +136,6 @@ def consensus_plays(
     n: int,
     entries: Sequence[RegistryEntry],
     max_steps: int = 20_000,
-    processes: Optional[int] = None,
     schedulers=None,
     crash: Optional[str] = None,
     seed: Optional[int] = None,
@@ -196,7 +195,7 @@ def consensus_plays(
                 list(range(n)),
             )
 
-    return _assemble_battery(entries, tasks, run_play_batch(tasks, processes=processes))
+    return _assemble_battery(entries, tasks, run_play_batch(tasks))
 
 
 def tm_plays(
@@ -206,7 +205,6 @@ def tm_plays(
     transactions: int = 2,
     max_steps: int = 240,
     include_counterexample: bool = True,
-    processes: Optional[int] = None,
     schedulers=None,
     crash: Optional[str] = None,
     seed: Optional[int] = None,
@@ -283,4 +281,4 @@ def tm_plays(
                 lambda: CounterexampleAdversary(tuple(range(3))),
             )
 
-    return _assemble_battery(entries, tasks, run_play_batch(tasks, processes=processes))
+    return _assemble_battery(entries, tasks, run_play_batch(tasks))

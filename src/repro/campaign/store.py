@@ -33,6 +33,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.campaign.spec import CampaignSpec, Job, canonical_json
 from repro.util.errors import UsageError
+from repro.util.sqlite_store import open_store
 
 #: Bump on any incompatible schema or fingerprint-contract change.
 SCHEMA_VERSION = 1
@@ -118,6 +119,17 @@ class JobRecord:
         )
 
 
+def _migrate_columns(conn: sqlite3.Connection) -> None:
+    """Apply the additive column migrations (no-op when current)."""
+    present = {row["name"] for row in conn.execute("PRAGMA table_info(jobs)")}
+    if not present:  # not our schema; the version check reports it
+        return
+    with conn:
+        for name, column_type in _EXTRA_COLUMNS:
+            if name not in present:
+                conn.execute(f"ALTER TABLE jobs ADD COLUMN {name} {column_type}")
+
+
 class CampaignStore:
     """One campaign's persistent job store (see module docstring)."""
 
@@ -128,45 +140,10 @@ class CampaignStore:
                 "'python -m repro campaign init'"
             )
         self.path = path
-        self._conn = sqlite3.connect(path, timeout=30.0)
-        self._conn.row_factory = sqlite3.Row
-        try:
-            self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.execute("PRAGMA synchronous=NORMAL")
-            if create:
-                with self._conn:
-                    self._conn.executescript(_SCHEMA)
-                    self._conn.execute(
-                        "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
-                        ("schema_version", str(SCHEMA_VERSION)),
-                    )
-            version = self.get_meta("schema_version")
-            self._migrate_columns()
-        except sqlite3.DatabaseError as exc:
-            # not SQLite at all, or SQLite without our schema
-            self._conn.close()
-            raise UsageError(f"{path!r} is not a campaign store: {exc}") from None
-        if version != str(SCHEMA_VERSION):
-            self._conn.close()
-            raise UsageError(
-                f"{path!r} is not a campaign store (schema version "
-                f"{version!r}, expected {SCHEMA_VERSION!r})"
-            )
-
-    def _migrate_columns(self) -> None:
-        """Apply the additive column migrations (no-op when current)."""
-        present = {
-            row["name"]
-            for row in self._conn.execute("PRAGMA table_info(jobs)")
-        }
-        if not present:  # not our schema; the version check reports it
-            return
-        with self._conn:
-            for name, column_type in _EXTRA_COLUMNS:
-                if name not in present:
-                    self._conn.execute(
-                        f"ALTER TABLE jobs ADD COLUMN {name} {column_type}"
-                    )
+        self._conn = open_store(
+            path, _SCHEMA, SCHEMA_VERSION, "campaign store",
+            create=create, migrate=_migrate_columns,
+        )
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -7,10 +7,11 @@ entry point buys two things: every battery automatically benefits from
 the engine's process-pool parallelism (plays are embarrassingly
 parallel), and the batteries stop hand-rolling their own run loops.
 
-Like :mod:`repro.engine.parallel`, worker context travels by ``fork``
-inheritance because play factories are arbitrary closures; without
-``fork`` (or with ``processes <= 1``) the batch runs serially in-process
-with identical results.
+``REPRO_ENGINE_PARALLEL`` (see :func:`default_parallelism`) is the one
+switch.  Worker context travels by ``fork`` inheritance because play
+factories are arbitrary closures; without ``fork`` (or with a worker
+count of 1 or less) the batch runs serially in-process with identical
+results.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import multiprocessing
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 from repro.sim.drivers import Driver
 from repro.util.params import env_int
@@ -68,17 +69,14 @@ def default_parallelism() -> int:
     return env_int("REPRO_ENGINE_PARALLEL", default=0, minimum=0)
 
 
-def run_play_batch(
-    tasks: Sequence[PlayTask], processes: Optional[int] = None
-) -> List[RunResult]:
+def run_play_batch(tasks: Sequence[PlayTask]) -> List[RunResult]:
     """Execute every task; results align with the input order.
 
-    ``processes=None`` consults :func:`default_parallelism`, so setting
+    The worker count comes from :func:`default_parallelism`, so setting
     ``REPRO_ENGINE_PARALLEL=4`` parallelises every battery in the
     repository without touching call sites.
     """
-    if processes is None:
-        processes = default_parallelism()
+    processes = default_parallelism()
     tasks = list(tasks)
     use_pool = (
         processes > 1

@@ -170,10 +170,6 @@ class KernelExplorer:
         # verify facade runs two searches); the explorer itself only
         # knows how to search with the reduction on or off.
         check_reduction(reduction, ("none", "dpor"))
-        if reduction == "dpor" and strategy == "iddfs":
-            # The sleep-set store is per search pass; iterative
-            # deepening restarts passes and would reuse stale entries.
-            raise ValueError("reduction='dpor' supports bfs/dfs, not iddfs")
         self.reduction = reduction
         self.factory = factory
         self.successors = successors

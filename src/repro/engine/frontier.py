@@ -1,4 +1,4 @@
-"""Frontier strategies and the generic graph search they drive.
+"""The generic deduplicated graph search and its two frontier orders.
 
 Every exhaustive search in the repository — history exploration over
 kernel configurations (:mod:`repro.sim.explore`), reachability and
@@ -15,12 +15,9 @@ lazy iterator of :class:`Visit` records plus, on the search object,
 on — ``edges`` (key → {label: child key}), including edges that close
 back into already-visited nodes, which is what cycle detection needs.
 
-The frontier decides the order: :class:`FIFOFrontier` gives breadth
-first (and therefore shortest paths in ``parents``),
-:class:`LIFOFrontier` gives depth first, and
-:class:`IterativeDeepeningFrontier` re-runs depth-first passes with a
-growing bound (clients that want IDDFS use ``strategy="iddfs"`` on
-:class:`GraphSearch`, which manages the restarts).
+The strategy decides the order: ``"bfs"`` pops the oldest pending node
+(and therefore records shortest paths in ``parents``), ``"dfs"`` pops
+the newest.  Both share one ``deque`` frontier.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Generic,
     Hashable,
     Iterable,
     Iterator,
@@ -65,70 +61,13 @@ class Visit:
     label: Optional[Label]
 
 
-class Frontier(Generic[Node]):
-    """Pending-node container; the strategy lives in pop order."""
-
-    def __init__(self) -> None:
-        self._entries: deque = deque()
-
-    def push(self, entry: Any) -> None:
-        self._entries.append(entry)
-
-    def pop(self) -> Any:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)
-
-
-class FIFOFrontier(Frontier):
-    """Breadth-first order: pop the oldest entry."""
-
-    def pop(self) -> Any:
-        return self._entries.popleft()
-
-
-class LIFOFrontier(Frontier):
-    """Depth-first order: pop the newest entry."""
-
-    def pop(self) -> Any:
-        return self._entries.pop()
-
-
-class IterativeDeepeningFrontier(LIFOFrontier):
-    """Depth-first frontier for one pass of an iterative-deepening run.
-
-    The pass bound is carried here so :class:`GraphSearch` can ask
-    whether a node at a given depth may still be expanded in the current
-    pass.
-    """
-
-    def __init__(self, bound: int) -> None:
-        super().__init__()
-        self.bound = bound
-
-
-def make_frontier(strategy: str, depth_bound: Optional[int] = None) -> Frontier:
-    """Frontier for a named strategy (``bfs``, ``dfs``, ``iddfs``)."""
-    if strategy == "bfs":
-        return FIFOFrontier()
-    if strategy == "dfs":
-        return LIFOFrontier()
-    if strategy == "iddfs":
-        return IterativeDeepeningFrontier(bound=depth_bound or 0)
-    raise ValueError(f"unknown search strategy {strategy!r}")
-
-
 class GraphSearch:
     """Deduplicated frontier search over an implicitly defined graph.
 
     Parameters
     ----------
     strategy:
-        ``"bfs"``, ``"dfs"`` or ``"iddfs"``.
+        ``"bfs"`` or ``"dfs"``; anything else raises :class:`ValueError`.
     key:
         Node → hashable dedup key; defaults to the node itself.
     max_nodes:
@@ -151,6 +90,8 @@ class GraphSearch:
         on_budget: str = "raise",
         record_edges: bool = False,
     ):
+        if strategy not in ("bfs", "dfs"):
+            raise ValueError(f"unknown search strategy {strategy!r}")
         if on_budget not in ("raise", "stop"):
             raise ValueError(f"on_budget must be 'raise' or 'stop', got {on_budget!r}")
         self.strategy = strategy
@@ -165,9 +106,9 @@ class GraphSearch:
         self.edges: Dict[Hashable, Dict[Label, Hashable]] = {}
         #: key -> depth at which the node was visited.
         self.depths: Dict[Hashable, int] = {}
-        # The live frontier of the current pass, kept so expansion
-        # callbacks can re-queue a node mid-search (see push_revisit).
-        self._frontier: Optional[Frontier] = None
+        # The live frontier, kept so expansion callbacks can re-queue a
+        # node mid-search (see push_revisit).
+        self._frontier: Optional[deque] = None
 
     # -- public API --------------------------------------------------------
 
@@ -181,12 +122,56 @@ class GraphSearch:
         parent edge — useful when the roots are themselves successors of
         a virtual pre-root, as in cycle search).
         """
-        roots = list(roots)
-        if self.strategy == "iddfs":
-            return self._run_iddfs(roots, expand, root_labels)
-        return self._run_single_pass(
-            roots, expand, root_labels, make_frontier(self.strategy)
-        )
+        self.parents.clear()
+        self.edges.clear()
+        self.depths.clear()
+        frontier: deque = deque()
+        self._frontier = frontier
+        pop = frontier.popleft if self.strategy == "bfs" else frontier.pop
+        # Fetched once per run: the disabled-metrics cost inside the
+        # loop is a single `is not None` check per pop/push/dedup.
+        rec = _obs_active()
+        bound = self.max_depth
+        pending_roots = []
+        for entry in roots:
+            node, label = entry if root_labels else (entry, None)
+            key = self.key(node)
+            if key in self.parents:
+                continue
+            self.parents[key] = (None, label)
+            self.depths[key] = 0
+            pending_roots.append((node, key, 0))
+        # Roots count against the budget like any other visit.
+        visited = 0
+        for node, key, depth in pending_roots:
+            visited = self._check_budget(visited)
+            if visited is None:
+                return
+            yield Visit(node, key, depth, None, self.parents[key][1])
+            frontier.append((node, key, depth))
+        while frontier:
+            node, key, depth = pop()
+            if rec is not None:
+                rec.count("engine/frontier_pops")
+            if bound is not None and depth >= bound:
+                continue
+            for label, child in expand(node):
+                child_key = self.key(child)
+                if self.record_edges:
+                    self.edges.setdefault(key, {})[label] = child_key
+                if child_key in self.parents:
+                    if rec is not None:
+                        rec.count("engine/dedup_hits")
+                    continue
+                visited = self._check_budget(visited)
+                if visited is None:
+                    return
+                self.parents[child_key] = (key, label)
+                self.depths[child_key] = depth + 1
+                if rec is not None:
+                    rec.count("engine/frontier_pushes")
+                yield Visit(child, child_key, depth + 1, key, label)
+                frontier.append((child, child_key, depth + 1))
 
     def push_revisit(self, node: Any, key: Hashable, depth: Optional[int] = None) -> None:
         """Re-queue an already-visited key for another expansion pass.
@@ -202,10 +187,10 @@ class GraphSearch:
         visits.  ``depth`` defaults to the key's first-visit depth, so
         the re-expansion inherits the depth budget its subtree was
         originally measured under.  Only valid while :meth:`run` is
-        consuming a single-pass strategy (``bfs``/``dfs``)."""
+        being consumed."""
         if self._frontier is None:
             raise RuntimeError("push_revisit requires a running search")
-        self._frontier.push((node, key, self.depths[key] if depth is None else depth))
+        self._frontier.append((node, key, self.depths[key] if depth is None else depth))
 
     def path_labels(self, key: Hashable) -> Tuple[Label, ...]:
         """Edge labels along the discovered path from a root to ``key``
@@ -235,76 +220,6 @@ class GraphSearch:
 
     # -- internals ---------------------------------------------------------
 
-    def _reset_state(self) -> None:
-        self.parents.clear()
-        self.edges.clear()
-        self.depths.clear()
-
-    def _run_single_pass(
-        self,
-        roots: List[Any],
-        expand: Expand,
-        root_labels: bool,
-        frontier: Frontier,
-        depth_bound: Optional[int] = None,
-        allow_shallower_revisit: bool = False,
-    ) -> Iterator[Visit]:
-        self._reset_state()
-        self._frontier = frontier
-        # Fetched once per pass: the disabled-metrics cost inside the
-        # loop is a single `is not None` check per pop/push/dedup.
-        rec = _obs_active()
-        bound = self.max_depth if depth_bound is None else depth_bound
-        for entry in roots:
-            node, label = entry if root_labels else (entry, None)
-            key = self.key(node)
-            if key in self.parents:
-                continue
-            self.parents[key] = (None, label)
-            self.depths[key] = 0
-            frontier.push((node, key, 0))
-        # Roots count against the budget like any other visit.
-        visited = 0
-        pending_roots = list(frontier._entries)
-        frontier._entries.clear()
-        for node, key, depth in pending_roots:
-            visited = self._check_budget(visited)
-            if visited is None:
-                return
-            yield Visit(node, key, depth, None, self.parents[key][1])
-            frontier.push((node, key, depth))
-        while frontier:
-            node, key, depth = frontier.pop()
-            if rec is not None:
-                rec.count("engine/frontier_pops")
-            if bound is not None and depth >= bound:
-                continue
-            for label, child in expand(node):
-                child_key = self.key(child)
-                if self.record_edges:
-                    self.edges.setdefault(key, {})[label] = child_key
-                if child_key in self.parents:
-                    # A depth-limited DFS pass may first reach a node via
-                    # a long path; re-expanding it when a shorter path
-                    # appears keeps iterative deepening complete.
-                    if not (
-                        allow_shallower_revisit
-                        and depth + 1 < self.depths[child_key]
-                    ):
-                        if rec is not None:
-                            rec.count("engine/dedup_hits")
-                        continue
-                else:
-                    visited = self._check_budget(visited)
-                    if visited is None:
-                        return
-                self.parents[child_key] = (key, label)
-                self.depths[child_key] = depth + 1
-                if rec is not None:
-                    rec.count("engine/frontier_pushes")
-                yield Visit(child, child_key, depth + 1, key, label)
-                frontier.push((child, child_key, depth + 1))
-
     def _check_budget(self, visited: int) -> Optional[int]:
         """Count one visit against the budget; ``None`` means stop."""
         if self.max_nodes is not None and visited >= self.max_nodes:
@@ -314,35 +229,3 @@ class GraphSearch:
                 )
             return None
         return visited + 1
-
-    def _run_iddfs(
-        self, roots: List[Any], expand: Expand, root_labels: bool
-    ) -> Iterator[Visit]:
-        """Depth-first passes with bound 1, 2, … up to ``max_depth``.
-
-        Each pass re-searches from scratch; a node is re-yielded only if
-        the pass finds it at a strictly shallower depth than any earlier
-        pass did, so consumers see each key at its minimal depth exactly
-        once overall — BFS semantics at DFS frontier size.
-        """
-        if self.max_depth is None:
-            raise ValueError("iddfs requires max_depth")
-        best: Dict[Hashable, int] = {}
-        for bound in range(1, self.max_depth + 1):
-            frontier = IterativeDeepeningFrontier(bound)
-            new_this_pass = 0
-            for visit in self._run_single_pass(
-                roots,
-                expand,
-                root_labels,
-                frontier,
-                depth_bound=bound,
-                allow_shallower_revisit=True,
-            ):
-                if visit.key in best and best[visit.key] <= visit.depth:
-                    continue
-                best[visit.key] = visit.depth
-                new_this_pass += 1
-                yield visit
-            if new_this_pass == 0 and bound > 1:
-                return  # the graph was exhausted by the previous pass

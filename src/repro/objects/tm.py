@@ -49,9 +49,9 @@ class _Sentinel:
         return self
 
     def __reduce__(self):
-        # Unpickling must yield the singleton, not a twin: fingerprints
-        # containing sentinels cross process boundaries in the engine's
-        # parallel frontier, and equality is identity.
+        # Unpickling must yield the singleton, not a twin: histories
+        # containing sentinels cross process boundaries in the battery
+        # and service process pools, and equality is identity.
         return (_sentinel_by_label, (self._label,))
 
 

@@ -12,7 +12,8 @@ the stored representation), so a cached re-verify serialises
 byte-identically to the cold run that populated it — the property the
 ``serve-smoke`` CI job and ``bench_service`` gate assert.
 
-Same durability idioms as :mod:`repro.campaign.store`: WAL journaling,
+Same durability idioms as :mod:`repro.campaign.store`, opened through
+the same :func:`~repro.util.sqlite_store.open_store`: WAL journaling,
 ``synchronous=NORMAL``, a busy timeout, one transaction per mutation —
 any number of readers and writers (the serve executor's worker
 processes all write here) can share the file.
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import json
 import os
-import sqlite3
 import time
 
 from typing import Any, Dict, List, Optional
@@ -34,6 +34,7 @@ from repro.obs.recorder import active as _obs_active
 from repro.service.keys import code_version
 from repro.util.errors import UsageError, unknown_choice
 from repro.util.hashing import canonical_fingerprint, canonical_json
+from repro.util.sqlite_store import open_store
 
 #: Bump on any incompatible schema or key-contract change.
 CACHE_SCHEMA_VERSION = 1
@@ -98,32 +99,9 @@ class VerdictCache:
         if not create and not os.path.exists(path):
             raise UsageError(f"no verdict cache at {path!r}")
         self.path = path
-        self._conn = sqlite3.connect(path, timeout=30.0)
-        self._conn.row_factory = sqlite3.Row
-        try:
-            self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.execute("PRAGMA synchronous=NORMAL")
-            with self._conn:
-                self._conn.executescript(_SCHEMA)
-                self._conn.execute(
-                    "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
-                    ("schema_version", str(CACHE_SCHEMA_VERSION)),
-                )
-            version = self._conn.execute(
-                "SELECT value FROM meta WHERE key = 'schema_version'"
-            ).fetchone()
-        except sqlite3.DatabaseError as exc:
-            self._conn.close()
-            raise UsageError(
-                f"{path!r} is not a verdict cache: {exc}"
-            ) from None
-        if version is None or version["value"] != str(CACHE_SCHEMA_VERSION):
-            found = None if version is None else version["value"]
-            self._conn.close()
-            raise UsageError(
-                f"{path!r} is not a verdict cache (schema version "
-                f"{found!r}, expected {CACHE_SCHEMA_VERSION!r})"
-            )
+        self._conn = open_store(
+            path, _SCHEMA, CACHE_SCHEMA_VERSION, "verdict cache"
+        )
 
     @classmethod
     def open(cls, path: Optional[str] = None) -> "VerdictCache":

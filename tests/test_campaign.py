@@ -193,20 +193,6 @@ class TestStore:
         with pytest.raises(UsageError):
             CampaignStore.open(str(tmp_path / "nope.db"))
 
-    def test_open_non_database_file_rejected(self, tmp_path):
-        bogus = tmp_path / "bogus.db"
-        bogus.write_text("this is not a sqlite database at all........")
-        with pytest.raises(UsageError):
-            CampaignStore.open(str(bogus))
-
-    def test_open_wrong_schema_version_rejected(self, tmp_path):
-        path = str(tmp_path / "c.db")
-        make_store(tmp_path / "c.db").close()
-        with CampaignStore.open(path) as store:
-            store.set_meta("schema_version", "999")
-        with pytest.raises(UsageError, match="schema version"):
-            CampaignStore.open(path)
-
     def test_seed_axis_without_random_family_rejected(self):
         from repro.analysis.experiments import run_fig1a
 

@@ -6,14 +6,9 @@ The engine's load-bearing promises, in test form:
   exploration produce identical history sets and identical fingerprint
   sets on the seed workloads, and the valency search returns identical
   verdicts in both modes;
-* the parallel frontier's shared dedup table admits every key exactly
-  once across a process pool, and parallel exploration visits exactly
-  the serial configuration set;
 * the generic frontier search honours its strategy, budget, and depth
-  contracts.
+  contracts, and rejects strategies other than ``bfs``/``dfs``.
 """
-
-import multiprocessing
 
 import pytest
 
@@ -28,12 +23,11 @@ from repro.algorithms.tm import AgpTransactionalMemory, I12TransactionalMemory
 from repro.base_objects.base import ObjectPool
 from repro.base_objects.register import AtomicRegister
 from repro.engine import (
-    DedupTable,
     EngineParityError,
     GraphSearch,
     KernelConfig,
+    KernelExplorer,
     SearchBudgetExceeded,
-    parallel_explore,
 )
 from repro.sim import explore_histories
 from repro.sim.drivers import InvokeDecision, StepDecision
@@ -76,10 +70,16 @@ class TestGraphSearch:
         list(dfs.run(["a"], diamond_expand))
         assert dfs.parents["d"][0] == "c"
 
-    def test_iddfs_finds_all_nodes(self):
-        search = GraphSearch(strategy="iddfs", max_depth=5)
-        visited = {v.node for v in search.run(["a"], diamond_expand)}
-        assert visited == {"a", "b", "c", "d"}
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(ValueError, match="astar"):
+            GraphSearch(strategy="astar")
+        explorer = KernelExplorer(
+            lambda: CasConsensus(2),
+            plan_successors(PROPOSE_PLAN),
+            strategy="astar",
+        )
+        with pytest.raises(ValueError, match="astar"):
+            next(explorer.run())
 
     def test_path_reconstruction(self):
         search = GraphSearch(strategy="bfs")
@@ -215,75 +215,6 @@ class TestEngineParity:
             max_configs=3_000, mode="parity",
         )
         assert witness is not None
-
-
-def _hammer_dedup(args):
-    table, keys = args
-    return [table.add_if_new(key) for key in keys]
-
-
-class TestParallelFrontier:
-    def test_local_dedup_table(self):
-        table = DedupTable("local")
-        assert table.add_if_new("x") is True
-        assert table.add_if_new("x") is False
-        assert "x" in table and len(table) == 1
-
-    def test_shared_dedup_table_admits_each_key_once(self):
-        """Regression: every key wins exactly once across the pool,
-        including keys contended by several workers and keys claimed
-        twice by the same worker."""
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("requires fork start method")
-        manager = multiprocessing.Manager()
-        try:
-            table = DedupTable("managed", manager=manager)
-            keys = [f"k{i}" for i in range(40)]
-            # Every worker tries every key, and repeats its list twice.
-            batches = [(table, keys + keys) for _ in range(4)]
-            with multiprocessing.get_context("fork").Pool(4) as pool:
-                outcomes = pool.map(_hammer_dedup, batches)
-            wins = sum(sum(batch) for batch in outcomes)
-            assert wins == len(keys), f"{wins} wins for {len(keys)} keys"
-            assert len(table) == len(keys)
-        finally:
-            manager.shutdown()
-
-    def test_parallel_explore_matches_serial(self):
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("requires fork start method")
-        factory = lambda: CasConsensus(2)
-        successors = plan_successors(PROPOSE_PLAN)
-        serial = {
-            v.fingerprint
-            for v in parallel_explore(factory, successors, processes=1)
-        }
-        parallel = {
-            v.fingerprint
-            for v in parallel_explore(factory, successors, processes=2)
-        }
-        assert parallel == serial
-
-    def test_parallel_rejects_non_snapshot_mode(self):
-        with pytest.raises(ValueError):
-            list(
-                explore_histories(
-                    lambda: CasConsensus(2), PROPOSE_PLAN,
-                    mode="parity", processes=2,
-                )
-            )
-
-    def test_parallel_histories_match_serial(self):
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("requires fork start method")
-        factory = lambda: AgpTransactionalMemory(2, variables=(0,))
-        serial = {
-            r.history for r in explore_histories(factory, TM_PLAN, mode="snapshot")
-        }
-        parallel = {
-            r.history for r in explore_histories(factory, TM_PLAN, processes=2)
-        }
-        assert parallel == serial
 
 
 class TestDefaultParallelism:

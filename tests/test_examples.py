@@ -19,9 +19,11 @@ def test_at_least_five_examples_exist():
 @pytest.mark.parametrize(
     "script", EXAMPLES, ids=[script.stem for script in EXAMPLES]
 )
-def test_example_runs_cleanly(script):
+def test_example_runs_cleanly(script, tmp_path):
     # The parent's pytest `pythonpath` ini setting does not reach
     # subprocesses; make `repro` importable for the example explicitly.
+    # Running in `tmp_path` keeps the files an example writes to its
+    # working directory (serve_smoke's verdict) out of the checkout.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         part for part in (str(SRC_DIR), env.get("PYTHONPATH")) if part
@@ -32,6 +34,7 @@ def test_example_runs_cleanly(script):
         text=True,
         timeout=300,
         env=env,
+        cwd=tmp_path,
     )
     assert completed.returncode == 0, completed.stderr[-2000:]
     assert completed.stdout.strip(), "examples must narrate what they show"

@@ -256,6 +256,10 @@ class TestVerifyRoundTrip:
         with pytest.raises(UsageError, match="crash-free"):
             verify("cas-consensus", backend="exhaustive", crash="p0@4")
 
+    def test_processes_override_rejected_on_exhaustive(self):
+        with pytest.raises(UsageError, match="processes"):
+            verify("cas-consensus", backend="exhaustive", processes=2)
+
 
 class TestLivenessScenarioRoundTrip:
     """Every liveness-tagged scenario is a full citizen of the

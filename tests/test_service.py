@@ -124,12 +124,6 @@ class TestVerdictCache:
             cache.gc()
             assert cache.artifact(artifact_hash(witness)) is None
 
-    def test_not_a_cache_rejected(self, tmp_path):
-        bogus = tmp_path / "bogus.db"
-        bogus.write_text("not sqlite at all, definitely")
-        with pytest.raises(UsageError):
-            VerdictCache.open(str(bogus))
-
 
 class TestVerifyCaching:
     def test_cold_then_hit_byte_identical(self, db):
