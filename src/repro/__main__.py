@@ -15,6 +15,8 @@ Usage::
     python -m repro verify tm-grid:impl=norec,n=2,plan=rw,vars=2
     python -m repro verify agp-opacity-3p --backend fuzz --set seed=7
     python -m repro verify stubborn-consensus --out verdict.json
+    python -m repro verify --tag small --backend fuzz --set seed=2025
+    python -m repro replay verdict.json               # re-judge counterexamples
     python -m repro verify trivial-local-progress-f1 --backend liveness
     python -m repro verify agp-opacity --metrics-out m.json --trace-out t.json
     python -m repro profile agp-opacity --backend fuzz     # hotspot table
@@ -25,12 +27,6 @@ Usage::
     python -m repro campaign status
     python -m repro campaign status --watch          # live progress + ETA
     python -m repro campaign export --out campaign.json --metrics-out m.json
-
-    python -m repro fuzz --list                       # fuzzable scenarios
-    python -m repro fuzz agp-opacity --seed 7         # random sampling
-    python -m repro fuzz small --oracle               # vs exhaustive
-    python -m repro fuzz stubborn-consensus --artifact-dir artifacts/
-    python -m repro fuzz --replay artifacts/fuzz-....json
 
     python -m repro mutate --list                     # the seeded mutants
     python -m repro mutate --backend fuzz --backend liveness --out kill.json
@@ -46,9 +42,11 @@ Usage::
     python -m repro lint --select FP001,OB001 --format md
     python -m repro lint --footprints                 # static vs dynamic FP001
 
-Exit codes: 0 all claims OK (verify/fuzz: every verdict as expected /
-oracle agreement), 1 a paper claim mismatched, a job failed, or a
-verdict surprised (including budget-exhausted), 2 usage error.
+Exit codes: 0 all claims OK (verify: every verdict as expected and
+every witness replays; replay: every counterexample re-judges as
+recorded), 1 a paper claim mismatched, a job failed, a verdict
+surprised (including budget-exhausted), or a witness did not replay,
+2 usage error.
 """
 
 from __future__ import annotations
@@ -250,169 +248,16 @@ def cmd_campaign_export(arguments) -> int:
 
 
 # ---------------------------------------------------------------------------
-# fuzz subcommand
-# ---------------------------------------------------------------------------
-
-
-def _fuzz_targets(names: List[str]) -> List[str]:
-    from repro.scenarios import iter_scenarios, scenario_ids
-
-    if not names:
-        return ["agp-opacity"]
-    if names == ["all"]:
-        return scenario_ids()
-    if names == ["small"]:
-        return [scenario.scenario_id for scenario in iter_scenarios(tags="small")]
-    return names
-
-
-def cmd_fuzz(arguments) -> int:
-    from repro.fuzz import (
-        ReplayTrace,
-        differential_check,
-        fuzz_workload,
-        load_trace,
-        replay_schedule,
-        save_trace,
-        shrink_schedule,
-    )
-    from repro.scenarios import get_scenario, iter_scenarios
-
-    if arguments.list_workloads:
-        scenarios = iter_scenarios()
-        width = max(len(scenario.scenario_id) for scenario in scenarios)
-        for spec in scenarios:
-            tags = ("violating" if spec.expect_violation else "satisfying") + (
-                ", oracle-eligible" if spec.small else ""
-            )
-            print(f"{spec.scenario_id:<{width}}  [{tags}]  {spec.notes}")
-        return 0
-
-    if arguments.replay is not None:
-        trace = load_trace(arguments.replay)
-        if not trace.workload:
-            raise UsageError(
-                f"trace {arguments.replay!r} names no workload; cannot "
-                "reconstruct the implementation to replay against"
-            )
-        spec = get_scenario(trace.workload)
-        replay = replay_schedule(
-            spec.factory, trace.plan, trace.schedule, spec.safety_factory()
-        )
-        if not replay.valid:
-            print(f"replay invalid: {replay.error}")
-            return 1
-        holds = replay.verdict.holds
-        print(
-            f"{trace.workload}: replayed {len(trace.schedule)} steps, "
-            f"safety {'holds' if holds else 'violated'}"
-            + (f" ({replay.verdict.reason})" if not holds else "")
-        )
-        if trace.holds is not None and holds != trace.holds:
-            print(
-                f"MISMATCH: trace records holds={trace.holds}", file=sys.stderr
-            )
-            return 1
-        return 0
-
-    if arguments.oracle and arguments.crash:
-        raise UsageError(
-            "--crash only applies to plain fuzzing; the oracle compares "
-            "verdicts over the crash-free schedule space"
-        )
-    surprises = 0
-    for name in _fuzz_targets(arguments.workloads):
-        spec = get_scenario(name)
-        if arguments.oracle:
-            oracle = differential_check(
-                spec,
-                seed=arguments.seed,
-                iterations=arguments.iterations,
-                max_depth=arguments.max_depth,
-            )
-            report = oracle.fuzz
-            ok = oracle.agree
-            print(
-                f"[{name}] oracle: exhaustive="
-                f"{'holds' if oracle.exhaustive_holds else 'violated'} "
-                f"({oracle.exhaustive_runs} runs), fuzz="
-                f"{'holds' if oracle.fuzz_holds else 'violated'} "
-                f"({report.interleavings} interleavings) -> "
-                f"{'AGREE' if ok else 'DISAGREE'}"
-            )
-        else:
-            report = fuzz_workload(
-                spec,
-                seed=arguments.seed,
-                iterations=arguments.iterations,
-                max_depth=arguments.max_depth,
-                crash=arguments.crash,
-            )
-            ok = (report.violation is not None) == spec.expect_violation
-            verdict = (
-                f"violation at iteration {report.violation.iteration}"
-                if report.violation
-                else "no violation"
-            )
-            print(
-                f"[{name}] {verdict} "
-                f"({report.interleavings} interleavings, "
-                f"{report.coverage} states covered, "
-                f"{report.interleavings_per_second:,.0f}/s) -> "
-                f"{'expected' if ok else 'SURPRISE'}"
-            )
-        if not ok:
-            surprises += 1
-        if report.violation is not None and not arguments.no_shrink:
-            shrunk = shrink_schedule(
-                spec.factory,
-                spec.plan,
-                report.violation.schedule,
-                spec.safety_factory(),
-            )
-            rendered = " ".join(f"{k}(p{p})" for k, p in shrunk.schedule)
-            print(
-                f"  shrunk {shrunk.original_length} -> "
-                f"{len(shrunk.schedule)} steps: {rendered}"
-            )
-            if arguments.artifact_dir is not None:
-                os.makedirs(arguments.artifact_dir, exist_ok=True)
-                path = os.path.join(
-                    arguments.artifact_dir,
-                    f"fuzz-{name}-seed{arguments.seed}.json",
-                )
-                save_trace(
-                    path,
-                    ReplayTrace(
-                        plan=spec.plan,
-                        schedule=shrunk.schedule,
-                        workload=spec.name,
-                        implementation=spec.factory().name,
-                        safety=spec.safety_factory().name,
-                        holds=False,
-                        reason=report.violation.reason,
-                        seed=report.seed,
-                    ),
-                )
-                print(f"  wrote {path}")
-    return 1 if surprises else 0
-
-
-# ---------------------------------------------------------------------------
 # scenarios / verify subcommands
 # ---------------------------------------------------------------------------
 
 
-def _scenario_rows(
-    tags: List[str], family: str = None, no_families: bool = False
-) -> List[Dict[str, str]]:
-    from repro.scenarios import TAG_FAMILY, get_family, iter_scenarios
+def _tagged_scenarios(tags: List[str], no_families: bool = False) -> List[Any]:
+    """The registered scenarios carrying every tag (AND semantics); an
+    empty slice is a usage error."""
+    from repro.scenarios import TAG_FAMILY, iter_scenarios
 
-    wanted = list(tags or [])
-    if family is not None:
-        get_family(family)  # unknown family ids fail with a suggestion
-        wanted.append(f"family:{family}")
-    scenarios = iter_scenarios(tags=wanted or None)
+    scenarios = iter_scenarios(tags=tags or None)
     if no_families:
         scenarios = [
             scenario
@@ -421,8 +266,21 @@ def _scenario_rows(
         ]
     if not scenarios:
         raise UsageError(
-            f"no registered scenario carries all of the tags {wanted!r}"
+            f"no registered scenario carries all of the tags {tags!r}"
         )
+    return scenarios
+
+
+def _scenario_rows(
+    tags: List[str], family: str = None, no_families: bool = False
+) -> List[Dict[str, str]]:
+    from repro.scenarios import get_family
+
+    wanted = list(tags or [])
+    if family is not None:
+        get_family(family)  # unknown family ids fail with a suggestion
+        wanted.append(f"family:{family}")
+    scenarios = _tagged_scenarios(wanted, no_families=no_families)
     return [scenario.describe() for scenario in scenarios]
 
 
@@ -460,15 +318,24 @@ def cmd_scenarios(arguments) -> int:
 
 
 def cmd_verify(arguments) -> int:
-    from repro.scenarios import get_scenario, verify
+    from repro.scenarios import get_scenario
 
+    if bool(arguments.scenarios) == bool(arguments.tag):
+        raise UsageError(
+            "name the scenarios to verify either by id or by --tag "
+            "(exactly one of the two)"
+        )
     overrides = _parse_params(arguments.set, option="--set")
     if arguments.cache is not None:
         from repro.service import check_cache_mode
 
         check_cache_mode(arguments.cache)  # fail fast -> exit 2
-    # Fail fast on unknown ids, before any scenario runs.
-    scenarios = [get_scenario(s) for s in arguments.scenarios]
+    # Fail fast on unknown ids or an empty tag slice, before any
+    # scenario runs.
+    if arguments.tag:
+        scenarios = _tagged_scenarios(arguments.tag)
+    else:
+        scenarios = [get_scenario(s) for s in arguments.scenarios]
     observe = arguments.metrics_out is not None or arguments.trace_out is not None
     with contextlib.ExitStack() as stack:
         recorder = None
@@ -554,7 +421,14 @@ def _verify_scenarios(arguments, scenarios, overrides, recorder) -> int:
                 f"  counterexample ({len(verdict.counterexample.schedule)} "
                 f"steps, {replay_note}): {rendered}"
             )
-        if not verdict.expected:
+        # A witness that does not replay on the plain runtime is a
+        # failure even when the outcome is the expected one; ``None``
+        # (replay skipped) stays the printed note above.
+        unreplayable = (
+            stats.get("counterexample_replays") is False
+            or stats.get("lasso_replays") is False
+        )
+        if not verdict.expected or unreplayable:
             surprises += 1
     if arguments.out is not None:
         document = documents[0] if len(documents) == 1 else documents
@@ -578,6 +452,71 @@ def _verify_scenarios(arguments, scenarios, overrides, recorder) -> int:
         write_trace(arguments.trace_out, recorder.trace_events)
         print(f"wrote {arguments.trace_out}")
     return surprises
+
+
+def _load_counterexamples(path: str) -> List[Any]:
+    """The counterexample traces in a ``verify --out`` document (one
+    verdict or a list) or a bare ``repro-fuzz-trace`` file."""
+    from repro.fuzz.trace import TRACE_FORMAT, ReplayTrace
+
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read {path!r}: {exc}") from None
+    if isinstance(document, dict) and document.get("format") == TRACE_FORMAT:
+        return [ReplayTrace.from_document(document)]
+    verdicts = document if isinstance(document, list) else [document]
+    traces = [
+        ReplayTrace.from_document(verdict["counterexample"])
+        for verdict in verdicts
+        if isinstance(verdict, dict) and "counterexample" in verdict
+    ]
+    if not traces:
+        raise UsageError(
+            f"{path} holds no counterexample (expected a verify --out "
+            f"verdict document or a {TRACE_FORMAT} file)"
+        )
+    return traces
+
+
+def cmd_replay(arguments) -> int:
+    from repro.fuzz.trace import replay_schedule
+    from repro.scenarios import get_scenario
+
+    traces = _load_counterexamples(arguments.file)
+    # Fail fast on missing or unknown ids, before any trace replays.
+    scenarios = []
+    for trace in traces:
+        if not trace.workload:
+            raise UsageError(
+                f"a trace in {arguments.file!r} names no scenario; cannot "
+                "reconstruct the implementation to replay against"
+            )
+        scenarios.append(get_scenario(trace.workload))
+    failures = 0
+    for trace, spec in zip(traces, scenarios):
+        replay = replay_schedule(
+            spec.factory, trace.plan, trace.schedule, spec.safety_factory()
+        )
+        if not replay.valid:
+            print(f"{trace.workload}: replay invalid: {replay.error}")
+            failures += 1
+            continue
+        holds = replay.verdict.holds
+        print(
+            f"{trace.workload}: replayed {len(trace.schedule)} steps, "
+            f"safety {'holds' if holds else 'violated'}"
+            + (f" ({replay.verdict.reason})" if not holds else "")
+        )
+        if trace.holds is not None and holds != trace.holds:
+            print(
+                f"MISMATCH: {trace.workload} trace records "
+                f"holds={trace.holds}",
+                file=sys.stderr,
+            )
+            failures += 1
+    return 1 if failures else 0
 
 
 def cmd_profile(arguments) -> int:
@@ -791,52 +730,6 @@ def _add_campaign_parser(subparsers) -> None:
     )
 
 
-def _add_fuzz_parser(subparsers) -> None:
-    fuzz = subparsers.add_parser(
-        "fuzz",
-        help="randomized schedule/crash fuzzing (+ differential oracle)",
-    )
-    fuzz.add_argument(
-        "workloads", nargs="*", metavar="scenario",
-        help="scenario ids (default: agp-opacity); 'all' = every "
-        "registered scenario, 'small' = the oracle-eligible ones",
-    )
-    fuzz.add_argument(
-        "--list", action="store_true", dest="list_workloads",
-        help="list the registered scenarios (all are fuzzable)",
-    )
-    fuzz.add_argument("--seed", type=int, default=0, help="master fuzz seed")
-    fuzz.add_argument(
-        "--iterations", type=int, default=2_000,
-        help="interleavings to sample per workload (default: 2000)",
-    )
-    fuzz.add_argument(
-        "--max-depth", type=int, default=64, help="schedule depth bound"
-    )
-    fuzz.add_argument(
-        "--crash", default=None,
-        help="crash pattern injected into every exploration walk "
-        "(p0@40+p1@60 syntax; default: randomized crash points)",
-    )
-    fuzz.add_argument(
-        "--oracle", action="store_true",
-        help="cross-check fuzz verdicts against the exhaustive engine "
-        "(small workloads only)",
-    )
-    fuzz.add_argument(
-        "--no-shrink", action="store_true",
-        help="do not minimize found violations",
-    )
-    fuzz.add_argument(
-        "--artifact-dir", default=None,
-        help="write shrunk counterexample traces (replayable JSON) here",
-    )
-    fuzz.add_argument(
-        "--replay", default=None, metavar="TRACE",
-        help="replay a trace file and re-judge it instead of fuzzing",
-    )
-
-
 def _add_scenarios_parser(subparsers) -> None:
     scenarios = subparsers.add_parser(
         "scenarios",
@@ -913,8 +806,13 @@ def _add_verify_parser(subparsers) -> None:
         help="verify registered scenarios through the uniform facade",
     )
     verify.add_argument(
-        "scenarios", nargs="+", metavar="scenario",
-        help="scenario ids (see 'scenarios list')",
+        "scenarios", nargs="*", metavar="scenario",
+        help="scenario ids (see 'scenarios list'); or select by --tag",
+    )
+    verify.add_argument(
+        "--tag", action="append", default=[], metavar="TAG",
+        help="verify every scenario carrying this tag instead of listing "
+        "ids (repeatable; AND semantics, as in 'scenarios list --tag')",
     )
     verify.add_argument(
         "--backend", choices=("auto", "exhaustive", "fuzz", "liveness"),
@@ -954,6 +852,18 @@ def _add_verify_parser(subparsers) -> None:
     verify.add_argument(
         "--trace-out", default=None, metavar="FILE",
         help="also write a Chrome/Perfetto trace of the span timeline",
+    )
+
+
+def _add_replay_parser(subparsers) -> None:
+    replay = subparsers.add_parser(
+        "replay",
+        help="re-judge counterexample traces on the plain runtime",
+    )
+    replay.add_argument(
+        "file", metavar="FILE",
+        help="a 'verify --out' verdict document (one verdict or a list) "
+        "or a bare repro-fuzz-trace file",
     )
 
 
@@ -1168,9 +1078,9 @@ def main(argv: List[str] = None) -> int:
     )
     _add_scenarios_parser(subparsers)
     _add_verify_parser(subparsers)
+    _add_replay_parser(subparsers)
     _add_profile_parser(subparsers)
     _add_campaign_parser(subparsers)
-    _add_fuzz_parser(subparsers)
     _add_mutate_parser(subparsers)
     _add_serve_parser(subparsers)
     _add_cache_parser(subparsers)
@@ -1183,12 +1093,12 @@ def main(argv: List[str] = None) -> int:
             return cmd_scenarios(arguments)
         if arguments.command == "verify":
             return cmd_verify(arguments)
+        if arguments.command == "replay":
+            return cmd_replay(arguments)
         if arguments.command == "profile":
             return cmd_profile(arguments)
         if arguments.command == "campaign":
             return cmd_campaign(arguments)
-        if arguments.command == "fuzz":
-            return cmd_fuzz(arguments)
         if arguments.command == "mutate":
             return cmd_mutate(arguments)
         if arguments.command == "serve":

@@ -12,8 +12,8 @@ quantify over live in :mod:`repro.analysis.batteries`, the named
 verification instances live in the scenario registry
 (:mod:`repro.scenarios` — each :class:`ExperimentSpec` names the
 scenarios its instances correspond to), and the single-instance
-experiments (``fuzz``, ``verify``) evaluate their claims over the
-uniform :func:`repro.scenarios.verify` verdicts.
+``verify`` experiment evaluates its claims over the uniform
+:func:`repro.scenarios.verify` verdicts.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from repro.core.history import History
 from repro.core.lattice import LivenessOrder
 from repro.core.liveness import enumerate_summaries
 from repro.core.progress import NXLiveness, SFreedom
-from repro.fuzz.oracle import differential_check
 from repro.objects.consensus import AgreementValidity
 from repro.objects.counterexample_s import counterexample_safety
 from repro.objects.opacity import OpacityChecker
@@ -927,177 +926,8 @@ def run_sec6(n: int = 3) -> ExperimentResult:
 
 
 # ---------------------------------------------------------------------------
-# Fuzzing (the randomized counterpart of the exhaustive experiments)
+# Scenario verification (the campaign face of the verify facade)
 # ---------------------------------------------------------------------------
-
-
-#: The sampling evidence persisted by every fuzz-flavoured job.
-_SAMPLING_ARTIFACTS = (
-    "interleavings",
-    "coverage",
-    "corpus",
-    "histories_checked",
-    "interleavings_per_second",
-)
-
-
-def _record_sampling_artifacts(result: ExperimentResult, source) -> None:
-    for key in _SAMPLING_ARTIFACTS:
-        result.artifacts[key] = source[key]
-
-
-def run_fuzz(
-    workload: str = "agp-opacity",
-    mode: str = "fuzz",
-    seed: int = 0,
-    iterations: int = 2_000,
-    max_steps: int = 64,
-    crash: Optional[str] = None,
-    shrink: bool = True,
-) -> ExperimentResult:
-    """Fuzz one registered scenario, or differential-oracle it.
-
-    A thin claim evaluator over the scenario layer: ``mode="fuzz"``
-    judges the uniform :func:`repro.scenarios.verify` verdict of the
-    fuzz backend against the scenario's declared expectation (shrunk,
-    replay-verified counterexample traces land in the artifacts);
-    ``mode="oracle"`` additionally runs the exhaustive backend on the
-    same (small) instance and asserts verdict agreement via
-    :func:`repro.fuzz.oracle.differential_check`.  ``mode`` is the grid
-    axis that makes fuzzing a first-class campaign job kind; ``crash``
-    and ``shrink`` apply to ``mode="fuzz"`` only, and ``max_steps``
-    doubles as the walk depth bound, matching the uniform axis name of
-    the battery experiments.
-    """
-    if mode not in ("fuzz", "oracle"):
-        raise UsageError(f"mode must be 'fuzz' or 'oracle', got {mode!r}")
-    if mode == "oracle" and crash not in (None, "", "none"):
-        # The oracle compares against the crash-free exhaustive space; a
-        # crash axis on an oracle cell would be silently meaningless.
-        raise UsageError(
-            f"the 'crash' axis (got {crash!r}) only applies to mode=fuzz; "
-            "the oracle compares verdicts over the crash-free schedule "
-            "space the exhaustive engine enumerates"
-        )
-    spec = get_scenario(workload)
-    result = ExperimentResult(
-        experiment_id="fuzz",
-        title=f"Randomized schedule fuzzer on {workload} [{mode}]",
-    )
-    if mode == "oracle":
-        oracle = differential_check(
-            spec, seed=seed, iterations=iterations, max_depth=max_steps
-        )
-        result.claims.append(
-            Claim(
-                name="differential oracle",
-                expected="fuzz verdict == exhaustive verdict",
-                measured=(
-                    f"exhaustive={'holds' if oracle.exhaustive_holds else 'violated'}"
-                    f" ({oracle.exhaustive_runs} runs), "
-                    f"fuzz={'holds' if oracle.fuzz_holds else 'violated'}"
-                ),
-                ok=oracle.agree,
-            )
-        )
-        if oracle.counterexample_replays is not None:
-            result.claims.append(
-                Claim(
-                    name="counterexample replay",
-                    expected="violating schedule reproduces on a fresh runtime",
-                    measured=(
-                        "reproduces"
-                        if oracle.counterexample_replays
-                        else "does not reproduce"
-                    ),
-                    ok=bool(oracle.counterexample_replays),
-                )
-            )
-        report = oracle.fuzz
-        result.artifacts["exhaustive_runs"] = oracle.exhaustive_runs
-        _record_sampling_artifacts(
-            result,
-            {
-                "interleavings": report.interleavings,
-                "coverage": report.coverage,
-                "corpus": report.corpus,
-                "histories_checked": report.histories_checked,
-                "interleavings_per_second": round(
-                    report.interleavings_per_second, 1
-                ),
-            },
-        )
-        return result
-
-    verdict = verify(
-        spec,
-        backend="fuzz",
-        seed=seed,
-        iterations=iterations,
-        max_depth=max_steps,
-        crash=crash,
-        shrink=shrink,
-    )
-    stats = verdict.stats
-    expectation = "violation" if spec.expect_violation else "no violation"
-    if verdict.budget_exhausted:
-        # The safety checker's own search budget blew mid-fuzz: report
-        # a failed claim rather than crashing the job.
-        result.claims.append(
-            Claim(
-                name="fuzz verdict",
-                expected=expectation,
-                measured=f"budget exhausted: {stats.get('error', '')}",
-                ok=False,
-            )
-        )
-        return result
-    measured = (
-        f"violation at iteration {stats['violation_iteration']}"
-        if verdict.violated
-        else f"no violation in {stats['interleavings']} interleavings"
-    )
-    result.claims.append(
-        Claim(
-            name="fuzz verdict",
-            expected=expectation,
-            measured=measured,
-            ok=verdict.expected,
-        )
-    )
-    result.claims.append(
-        Claim(
-            name="coverage map",
-            expected="> 0 unique configurations",
-            measured=str(stats["coverage"]),
-            ok=stats["coverage"] > 0,
-        )
-    )
-    if verdict.counterexample is not None and shrink:
-        replays = bool(stats.get("counterexample_replays"))
-        measured_shrink = (
-            f"{stats['shrunk_from']} -> "
-            f"{stats['counterexample_length']} steps, replay "
-            f"{'violates' if replays else 'passes (!)'}"
-            if "shrunk_from" in stats
-            else "minimization aborted: "
-            + stats.get("witness_check_error", "unknown error")
-        )
-        result.claims.append(
-            Claim(
-                name="shrunk counterexample",
-                expected="locally minimal trace replays to a violation",
-                measured=measured_shrink,
-                ok=replays,
-            )
-        )
-        result.artifacts["shrunk_trace"] = verdict.counterexample.to_document()
-        result.artifacts["shrunk_length"] = stats["counterexample_length"]
-        result.rendered = "shrunk schedule: " + " ".join(
-            f"{kind}(p{pid})" for kind, pid in verdict.counterexample.schedule
-        )
-    _record_sampling_artifacts(result, stats)
-    return result
 
 
 def run_verify(
@@ -1321,8 +1151,8 @@ class ExperimentSpec:
     at import time, so an experiment can never reference an instance
     the registry does not know.  Battery experiments list the scenarios
     of the implementations they quantify over; single-instance
-    experiments (``fuzz``, ``verify``) list their default scenario (the
-    ``workload``/``scenario`` axis selects others); the finite
+    ``verify`` experiment lists its default scenarios (the
+    ``scenario`` axis selects others); the finite
     set-model experiments (``thm44``, ``thm49``) run on history-set
     models with no implementation under test and list none.
     """
@@ -1418,13 +1248,6 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
             run_sec6,
             ("n",),
             scenarios=_REGISTER_CONSENSUS,
-        ),
-        ExperimentSpec(
-            "fuzz",
-            "Randomized schedule/crash fuzzer + differential oracle",
-            run_fuzz,
-            ("workload", "mode", "seed", "iterations", "max_steps", "crash", "shrink"),
-            scenarios=("agp-opacity",),
         ),
         ExperimentSpec(
             "verify",

@@ -5,8 +5,9 @@ The randomized counterpart of the exhaustive exploration engine: where
 plan, this subsystem *samples* schedules, crash patterns, and swarm-
 mutated schedulers at high rate, steered by a configuration-fingerprint
 coverage map — opening the large-instance regime exhaustive search
-cannot reach, while the differential oracle keeps the two layers
-honest against each other on small instances.
+cannot reach.  On the scenarios tagged ``small`` both ``verify``
+backends must reach the declared verdict, which keeps the two layers
+honest against each other.
 
 Fuzz targets are the declarative scenarios of :mod:`repro.scenarios`
 (one registry feeding both backends); this package stays *below* the
@@ -20,12 +21,10 @@ scenario layer and takes scenario objects as plain inputs.
 * :mod:`repro.fuzz.trace` — the JSON replay artifacts (schedule
   counterexamples and the liveness backend's lasso certificates),
   replayed through the plain :mod:`repro.sim.runtime` (independent of
-  the engine);
-* :mod:`repro.fuzz.oracle` — fuzz-vs-exhaustive verdict comparison.
+  the engine).
 """
 
 from repro.fuzz.driver import FuzzDriver, FuzzReport, FuzzViolation, fuzz_workload
-from repro.fuzz.oracle import OracleResult, differential_check, differential_sweep
 from repro.fuzz.shrink import ShrinkResult, shrink_schedule
 from repro.fuzz.trace import (
     LassoTrace,
@@ -46,13 +45,10 @@ __all__ = [
     "FuzzReport",
     "FuzzViolation",
     "LassoTrace",
-    "OracleResult",
     "ReplayResult",
     "ReplayTrace",
     "ShrinkResult",
     "decisions_to_labels",
-    "differential_check",
-    "differential_sweep",
     "fuzz_workload",
     "labels_to_decisions",
     "load_lasso_trace",

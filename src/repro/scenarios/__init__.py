@@ -10,9 +10,9 @@ any backend — the exhaustive snapshot engine or the coverage-guided
 fuzzer — returning one uniform :class:`Verdict` (holds / violated /
 budget-exhausted, stats, a replayable counterexample trace).
 
-Consumers: the experiment evaluators (:mod:`repro.analysis`), the fuzz
-CLI and differential oracle, campaign grids (cells reference scenarios
-by id), and ``python -m repro scenarios list`` / ``verify``.
+Consumers: the experiment evaluators (:mod:`repro.analysis`), campaign
+grids (cells reference scenarios by id), and ``python -m repro
+scenarios list`` / ``verify`` / ``replay``.
 """
 
 from repro.scenarios.scenario import (

@@ -1,11 +1,11 @@
 """The process-global scenario registry.
 
 One mapping ``id -> Scenario`` feeds every consumer: the verify facade,
-the fuzzer's target resolution, the differential oracle's sweep,
 campaign grid cells (which reference scenarios by id), and the
-``scenarios list`` / ``verify`` CLI.  Lookups fail uniformly with
-:class:`~repro.util.errors.UsageError` plus a did-you-mean suggestion
-(exit code 2 at the CLI) — never a bare ``KeyError``.
+``scenarios list`` / ``verify`` / ``replay`` CLI.  Lookups fail
+uniformly with :class:`~repro.util.errors.UsageError` plus a
+did-you-mean suggestion (exit code 2 at the CLI) — never a bare
+``KeyError``.
 
 The registry is populated at import time by
 :mod:`repro.scenarios.catalog`; libraries and tests may

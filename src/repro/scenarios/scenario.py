@@ -10,8 +10,8 @@ bounds, and free-form tags that make the registry sliceable
 
 The same ``Scenario`` is consumed by the exhaustive engine (every
 schedule, a depth/configuration-bounded proof), the fuzzer (seeded
-random sampling, horizon evidence), the differential oracle (both,
-compared), campaign grids (by id), and the CLI.  The
+random sampling, horizon evidence), the liveness search, campaign
+grids (by id), and the CLI.  The
 :func:`~repro.scenarios.verify.verify` facade normalizes all of them to
 one :class:`Verdict` shape.
 """
@@ -125,8 +125,8 @@ class Scenario:
     @property
     def small(self) -> bool:
         """Small enough to exhaust — eligible for the exhaustive
-        backend's full proof and therefore for the differential
-        oracle."""
+        backend's full proof and therefore for the oracle (both
+        ``verify`` backends must reach the declared verdict)."""
         return TAG_SMALL in self.tags
 
     def has_tags(self, wanted) -> bool:
@@ -168,7 +168,7 @@ class Verdict:
     (runs checked, interleavings sampled, coverage, certainty,
     timings); ``counterexample`` is a replay-verified
     :class:`~repro.fuzz.trace.ReplayTrace` whenever a violation was
-    found, replayable by ``python -m repro fuzz --replay``; ``lasso``
+    found, replayable by ``python -m repro replay``; ``lasso``
     is the liveness backend's counterpart — a replay-verified
     :class:`~repro.fuzz.trace.LassoTrace` starvation certificate.
     """

@@ -26,9 +26,9 @@ outcome to a :class:`~repro.scenarios.scenario.Verdict`:
 A safety violation is ddmin-shrunk (unless ``shrink=False``),
 re-executed on a fresh plain runtime independent of the snapshot
 machinery, and attached as a replayable
-:class:`~repro.fuzz.trace.ReplayTrace` — the same artifact
-``python -m repro fuzz --replay`` consumes.  A liveness proof is
-cycle/stem-shrunk (:func:`repro.sim.lasso_shrink.shrink_lasso`) and
+:class:`~repro.fuzz.trace.ReplayTrace` — the artifact ``python -m repro
+replay`` re-judges from a ``verify --out`` document.  A liveness proof
+is cycle/stem-shrunk (:func:`repro.sim.lasso_shrink.shrink_lasso`) and
 replay-verified the same way.  Either artifact failing to re-violate on
 the independent replay is surfaced loudly (``shrink_unfaithful`` /
 ``lasso_shrink_unfaithful`` stats), never silently.

@@ -93,7 +93,7 @@ class TestSpecExpansion:
 
     def test_default_is_every_experiment(self):
         spec = CampaignSpec.from_cli([], [])
-        assert len(spec.expand()) == 14  # every registered experiment, mutation included
+        assert len(spec.expand()) == 13  # every registered experiment, mutation included
 
 
 class TestStore:

@@ -26,7 +26,6 @@ class TestRegistry:
             "lem54",
             "sec53",
             "sec6",
-            "fuzz",
             "verify",
             "mutation",
         }

@@ -1,24 +1,22 @@
 """Tests for the randomized schedule/crash fuzzer (repro.fuzz)."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.__main__ import main
-from repro.analysis.experiments import run_experiment
 from repro.core.events import Crash
 from repro.fuzz import (
     FuzzDriver,
     ReplayTrace,
-    differential_check,
-    differential_sweep,
     fuzz_workload,
     load_trace,
     replay_schedule,
     save_trace,
     schedule_to_decisions,
 )
-from repro.scenarios import get_scenario, iter_scenarios
+from repro.scenarios import get_scenario, iter_scenarios, verify
 from repro.sim.drivers import CrashDecision, InvokeDecision, StepDecision
 from repro.util.errors import UsageError
 
@@ -155,168 +153,88 @@ class TestTraces:
             load_trace(str(path))
 
 
-class TestDifferentialOracle:
-    def test_agreement_on_satisfying_violating_and_tm_instances(self):
-        """The acceptance-criterion instances: >= 3 small instances
-        including one violating and one satisfying case."""
-        for name in ("cas-consensus", "stubborn-consensus", "agp-opacity"):
-            oracle = differential_check(name, seed=2025, iterations=1500)
-            assert oracle.agree, (
-                f"{name}: exhaustive={oracle.exhaustive_holds} "
-                f"fuzz={oracle.fuzz_holds}"
-            )
-
-    def test_verdicts_not_vacuous(self):
-        satisfying = differential_check("cas-consensus", seed=1, iterations=500)
-        assert satisfying.exhaustive_holds and satisfying.fuzz_holds
-        violating = differential_check(
-            "stubborn-consensus", seed=1, iterations=500
-        )
-        assert not violating.exhaustive_holds and not violating.fuzz_holds
-        assert violating.counterexample_replays is True
-
-    def test_sweep_covers_every_small_workload(self):
-        results = differential_sweep(seed=11, iterations=800)
-        assert len(results) >= 3
-        assert all(result.agree for result in results)
-
-    def test_large_workload_rejected(self):
-        with pytest.raises(UsageError):
-            differential_check("agp-opacity-deep")
-
-
-class TestFuzzExperiment:
-    def test_fuzz_mode_all_ok_on_satisfying_workload(self):
-        result = run_experiment(
-            "fuzz", workload="cas-consensus", iterations=400
-        )
-        assert result.all_ok
-        assert result.artifacts["coverage"] > 0
-
-    def test_fuzz_mode_shrinks_planted_violation(self):
-        result = run_experiment(
-            "fuzz", workload="stubborn-consensus", seed=5, iterations=400
-        )
-        assert result.all_ok  # violation expected, shrunk, replayed
-        trace = ReplayTrace.from_document(result.artifacts["shrunk_trace"])
-        replay = replay_schedule(
-            VIOL.factory, trace.plan, trace.schedule, VIOL.safety_factory()
-        )
-        assert replay.violates
-
-    def test_oracle_mode(self):
-        result = run_experiment(
-            "fuzz", workload="agp-opacity", mode="oracle", iterations=800
-        )
-        assert result.all_ok
-        assert result.artifacts["exhaustive_runs"] == 1500
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(UsageError):
-            run_experiment("fuzz", mode="enumerate")
-
-
-class TestCampaignIntegration:
-    def test_mode_fuzz_axis_runs_through_the_store(self, tmp_path):
-        """A `mode: fuzz` cell is a first-class campaign job: stored,
-        executed, resumable, exported."""
-        from repro.campaign import (
-            CampaignSpec,
-            CampaignStore,
-            export_campaign,
-            run_campaign,
-        )
-
-        store_path = str(tmp_path / "fuzz.db")
-        spec = CampaignSpec.from_cli(
-            ["fuzz"],
-            [
-                "workload=cas-consensus,stubborn-consensus",
-                "mode=fuzz,oracle",
-                "seed=0",
-                "iterations=300",
-            ],
-        )
-        with CampaignStore.create(store_path, spec) as store:
-            store.add_jobs(spec.expand())
-        summary = run_campaign(store_path, workers=0)
-        assert summary["failed"] == 0 and summary["pending"] == 0
-        with CampaignStore.open(store_path) as store:
-            document = json.loads(export_campaign(store))
-        assert document["summary"]["all_ok"] is True
-        jobs = document["jobs"]
-        assert len(jobs) == 4  # 2 workloads x 2 modes
-        assert {job["params"]["mode"] for job in jobs} == {"fuzz", "oracle"}
-        shrunk = [
-            job
-            for job in jobs
-            if job["params"]
-            == {
-                "mode": "fuzz",
-                "seed": 0,
-                "workload": "stubborn-consensus",
-                "iterations": 300,
-            }
-        ]
-        # The shrunk counterexample trace is persisted in the payload.
-        assert shrunk[0]["result"]["artifacts"]["shrunk_trace"]["schedule"]
-
-
 class TestFuzzCli:
+    """Fuzzing from the command line is ``verify --backend fuzz``; its
+    counterexamples re-judge through ``replay``."""
+
     def test_list_workloads(self, capsys):
-        assert main(["fuzz", "--list"]) == 0
+        assert main(["scenarios", "list", "--tag", "small"]) == 0
         out = capsys.readouterr().out
         assert "agp-opacity" in out and "stubborn-consensus" in out
+        assert "satisfying" in out and "violating" in out
 
     def test_expected_verdicts_exit_zero(self, capsys):
-        assert (
-            main(
-                [
-                    "fuzz",
-                    "cas-consensus",
-                    "stubborn-consensus",
-                    "--seed",
-                    "3",
-                    "--iterations",
-                    "300",
-                ]
-            )
-            == 0
-        )
+        argv = ["verify", "cas-consensus", "stubborn-consensus",
+                "--backend", "fuzz", "--set", "seed=3",
+                "--set", "iterations=300"]
+        assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "expected" in out and "shrunk" in out
+        assert out.count("-> expected") == 2
+        assert "counterexample" in out and "replay violates" in out
 
-    def test_oracle_flag(self, capsys):
-        assert (
-            main(
-                ["fuzz", "cas-consensus", "--oracle", "--iterations", "300"]
-            )
-            == 0
-        )
-        assert "AGREE" in capsys.readouterr().out
+    def test_oracle_pair_agrees(self, tmp_path):
+        outcomes = {}
+        for backend, knobs in (
+            ("exhaustive", []),
+            ("fuzz", ["--set", "seed=2025", "--set", "crash_probability=0"]),
+        ):
+            path = str(tmp_path / f"{backend}.json")
+            argv = ["verify", "cas-consensus", "stubborn-consensus",
+                    "--backend", backend, "--out", path] + knobs
+            assert main(argv) == 0
+            with open(path) as handle:
+                outcomes[backend] = [d["outcome"] for d in json.load(handle)]
+        assert outcomes["exhaustive"] == outcomes["fuzz"] == [
+            "holds", "violated",
+        ]
 
     def test_artifact_written_and_replayable(self, tmp_path, capsys):
-        artifact_dir = str(tmp_path / "artifacts")
-        assert (
-            main(
-                [
-                    "fuzz",
-                    "stubborn-consensus",
-                    "--seed",
-                    "3",
-                    "--iterations",
-                    "300",
-                    "--artifact-dir",
-                    artifact_dir,
-                ]
-            )
-            == 0
-        )
-        path = str(tmp_path / "artifacts" / "fuzz-stubborn-consensus-seed3.json")
-        assert load_trace(path).holds is False
+        path = str(tmp_path / "verdict.json")
+        argv = ["verify", "stubborn-consensus", "--backend", "fuzz",
+                "--set", "seed=3", "--set", "iterations=300", "--out", path]
+        assert main(argv) == 0
+        with open(path) as handle:
+            document = json.load(handle)
+        trace = ReplayTrace.from_document(document["counterexample"])
+        assert trace.holds is False and trace.workload == "stubborn-consensus"
         capsys.readouterr()
-        assert main(["fuzz", "--replay", path]) == 0
+        assert main(["replay", path]) == 0
         assert "violated" in capsys.readouterr().out
 
+    def test_bare_trace_replays(self, tmp_path, capsys):
+        verdict = verify("stubborn-consensus", backend="fuzz", seed=3,
+                         iterations=300)
+        path = str(tmp_path / "trace.json")
+        save_trace(path, verdict.counterexample)
+        assert main(["replay", path]) == 0
+        assert "stubborn-consensus: replayed" in capsys.readouterr().out
+
+    def test_replay_disagreeing_with_the_record_exits_one(
+        self, tmp_path, capsys
+    ):
+        verdict = verify("stubborn-consensus", backend="fuzz", seed=3,
+                         iterations=300)
+        path = str(tmp_path / "trace.json")
+        save_trace(path, replace(verdict.counterexample, holds=True))
+        assert main(["replay", path]) == 1
+        assert "MISMATCH" in capsys.readouterr().err
+
+    def test_replay_without_counterexample_exits_two(self, tmp_path, capsys):
+        path = str(tmp_path / "verdict.json")
+        assert main(["verify", "cas-consensus", "--out", path]) == 0
+        assert main(["replay", path]) == 2
+        assert "no counterexample" in capsys.readouterr().err
+
+    def test_replay_of_unknown_scenario_exits_two(self, tmp_path):
+        path = str(tmp_path / "trace.json")
+        save_trace(path, ReplayTrace(plan=SAT.plan, schedule=(),
+                                     workload="no-such-scenario"))
+        assert main(["replay", path]) == 2
+
     def test_unknown_workload_is_usage_error(self):
-        assert main(["fuzz", "nope"]) == 2
+        assert main(["verify", "nope", "--backend", "fuzz"]) == 2
+
+    def test_fuzz_subcommand_is_gone(self):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fuzz", "cas-consensus"])
+        assert exit_info.value.code == 2

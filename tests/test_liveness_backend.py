@@ -368,6 +368,18 @@ class TestShrinkUnfaithfulRegression:
         assert verdict.counterexample is not None
         assert verdict.counterexample.reason == ""
 
+    def test_cli_counts_an_unreplayable_witness_as_a_failure(self, capsys):
+        # The violation is the expected outcome, but its witness does
+        # not replay: the CLI must not exit 0 on it.
+        scenario = self._scenario(failing_calls=1)
+        try:
+            register(scenario)
+            argv = ["verify", "test-non-monotone", "--backend", "exhaustive"]
+            assert main(argv) == 1
+        finally:
+            unregister("test-non-monotone")
+        assert "replay passes (!)" in capsys.readouterr().out
+
     def test_shrunk_schedule_losing_the_violation_falls_back(self):
         # Enough failing calls for ddmin to shrink aggressively, then
         # the final fresh replay passes: the shrunk witness is flagged

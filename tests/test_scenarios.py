@@ -230,12 +230,13 @@ class TestVerifyRoundTrip:
         try:
             register(tiny)
             result = run_experiment(
-                "fuzz", workload="test-tiny-checker-budget", iterations=50
+                "verify", scenario="test-tiny-checker-budget",
+                backend="fuzz", iterations=50,
             )
         finally:
             unregister("test-tiny-checker-budget")
         assert not result.all_ok
-        assert "budget exhausted" in result.claims[0].measured
+        assert result.claims[0].measured == "budget-exhausted"
 
     def test_auto_backend_resolution(self):
         assert verify("cas-consensus", backend="auto").backend == "exhaustive"
@@ -395,10 +396,24 @@ class TestExperimentIntegration:
             "cas-consensus",
             "stubborn-consensus",
         }
+        # The shrunk counterexample trace is persisted in the payload.
+        (violating,) = [
+            job
+            for job in jobs
+            if job["params"]["scenario"] == "stubborn-consensus"
+            and job["params"]["backend"] == "fuzz"
+        ]
+        verdict = violating["result"]["artifacts"]["verdict"]
+        assert verdict["counterexample"]["schedule"]
 
     def test_unknown_scenario_axis_fails_at_execution_with_suggestion(self):
         with pytest.raises(UsageError, match="did you mean"):
             run_experiment("verify", scenario="cas-consensuss")
+
+    def test_fuzz_experiment_is_gone(self):
+        # Fuzz cells are verify cells with backend=fuzz.
+        with pytest.raises(UsageError, match="unknown experiment"):
+            run_experiment("fuzz")
 
 
 class TestScenarioCli:
@@ -513,7 +528,34 @@ class TestScenarioCli:
         assert main(["verify", "cas-consensus", "--set", "bogus=1"]) == 2
 
     def test_fuzz_cli_resolves_scenarios(self, capsys):
-        assert main(["fuzz", "--list"]) == 0
+        argv = ["verify", "trivial-opacity", "--backend", "fuzz",
+                "--set", "iterations=50"]
+        assert main(argv) == 0
+        assert "[trivial-opacity] fuzz: holds" in capsys.readouterr().out
+        assert main(["verify", "no-such-workload", "--backend", "fuzz"]) == 2
+
+    def test_verify_tag_selects_the_tagged_slice(self, tmp_path):
+        path = str(tmp_path / "small.json")
+        argv = ["verify", "--tag", "small", "--backend", "fuzz",
+                "--out", path]
+        for key, value in SMOKE_FUZZ.items():
+            argv += ["--set", f"{key}={value}"]
+        assert main(argv) == 0
+        with open(path) as handle:
+            documents = json.load(handle)
+        assert [d["scenario"] for d in documents] == [
+            s.scenario_id for s in iter_scenarios(tags="small")
+        ]
+
+    def test_verify_tags_are_conjunctive(self, capsys):
+        assert main(["verify", "--tag", "small", "--tag", "violating"]) == 0
         out = capsys.readouterr().out
-        assert "trivial-opacity" in out and "agp-opacity" in out
-        assert main(["fuzz", "no-such-workload"]) == 2
+        assert "[stubborn-consensus]" in out and "[cas-consensus]" not in out
+
+    def test_verify_empty_tag_slice_exits_two(self, capsys):
+        assert main(["verify", "--tag", "small", "--tag", "no-such-tag"]) == 2
+        assert "no registered scenario carries" in capsys.readouterr().err
+
+    def test_verify_needs_ids_or_tag_but_not_both(self):
+        assert main(["verify", "cas-consensus", "--tag", "small"]) == 2
+        assert main(["verify"]) == 2
