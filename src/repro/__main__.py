@@ -655,8 +655,8 @@ def _add_campaign_parser(subparsers) -> None:
     run = campaign_sub.add_parser("run", help="execute open jobs from the store")
     store_arg(run)
     run.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes (default: REPRO_ENGINE_PARALLEL; 0/1 = serial)",
+        "--workers", type=int, default=0,
+        help="worker processes (default: 0; 0/1 = serial)",
     )
     run.add_argument(
         "--max-jobs", type=int, default=None,

@@ -1,8 +1,7 @@
 """The campaign worker pool: pull open jobs, execute, record.
 
 Workers are plain processes around one loop — claim a job from the
-store, run it through the experiment registry (whose batteries execute
-on :func:`repro.engine.batch.run_play_batch`), persist the result
+store, run it through the experiment registry, persist the result
 payload and timing.  The store's atomic claim is the only coordination:
 workers never talk to each other, any number of them (including workers
 of *other* ``campaign run`` invocations on the same store) can run
@@ -10,12 +9,8 @@ concurrently, and killing any of them loses at most the claims they
 held — which :meth:`~repro.campaign.store.CampaignStore.reclaim_dead`
 recovers on the next run.
 
-``workers=None`` honours ``REPRO_ENGINE_PARALLEL`` (the engine-wide
-parallelism knob).  With more than one worker, job-level parallelism
-replaces battery-level parallelism — workers pin
-``REPRO_ENGINE_PARALLEL=0`` in their own environment so every job runs
-its battery serially instead of oversubscribing the machine with nested
-pools.
+Parallelism lives at job granularity: each worker runs one job at a
+time, and every job's battery plays serially inside it.
 
 Observability
 -------------
@@ -43,7 +38,6 @@ from typing import Any, Dict, Optional
 from repro.analysis.experiments import run_experiment
 from repro.campaign.report import result_payload
 from repro.campaign.store import CampaignStore, JobRecord, local_worker_id
-from repro.engine.batch import default_parallelism
 from repro.obs.metrics import metrics_document
 from repro.obs.recorder import active as _obs_active, recording as _obs_recording
 from repro.obs.trace import write_trace_fragment
@@ -113,35 +107,42 @@ def _drain(
     return executed
 
 
-def _worker_main(
-    store_path: str, worker_index: int, obs_dir: Optional[str] = None
+def _traced_drain(
+    store: CampaignStore,
+    worker: str,
+    trace_dir: str,
+    index: int,
+    max_jobs: Optional[int] = None,
 ) -> None:
-    # Job-level parallelism replaces battery-level parallelism (see
-    # module docstring).
-    os.environ["REPRO_ENGINE_PARALLEL"] = "0"
+    """Drain under a worker-lifetime tracing recorder that absorbs
+    every per-job recorder's events, then write them as the fragment
+    ``worker-<index>.json`` — the parent merges fragments into one
+    timeline with a lane per pid."""
+    with _obs_recording(label=f"worker:{worker}", trace=True) as rec:
+        with rec.span("campaign/worker"):
+            _drain(store, worker, max_jobs=max_jobs, metrics=True)
+    write_trace_fragment(
+        os.path.join(trace_dir, f"worker-{index}.json"),
+        worker,
+        os.getpid(),
+        rec.trace_events,
+    )
+
+
+def _worker_main(
+    store_path: str, worker_index: int, trace_dir: Optional[str] = None
+) -> None:
     worker = f"{local_worker_id()}#{worker_index}"
     with CampaignStore.open(store_path) as store:
-        if obs_dir is None:
+        if trace_dir is None:
             _drain(store, worker)
-            return
-        # Tracing run: a worker-lifetime recorder absorbs every per-job
-        # recorder's events, then lands on disk as one fragment per
-        # worker — the parent merges fragments into one timeline with
-        # a lane per pid.
-        with _obs_recording(label=f"worker:{worker}", trace=True) as rec:
-            with rec.span("campaign/worker"):
-                _drain(store, worker, metrics=True)
-        write_trace_fragment(
-            os.path.join(obs_dir, f"worker-{worker_index}.json"),
-            worker,
-            os.getpid(),
-            rec.trace_events,
-        )
+        else:
+            _traced_drain(store, worker, trace_dir, worker_index)
 
 
 def run_campaign(
     store_path: str,
-    workers: Optional[int] = None,
+    workers: int = 0,
     max_jobs: Optional[int] = None,
     reclaim: bool = True,
     metrics: bool = False,
@@ -149,10 +150,10 @@ def run_campaign(
 ) -> Dict[str, Any]:
     """Execute the open jobs of a campaign store; returns a summary.
 
-    ``workers=None`` consults ``REPRO_ENGINE_PARALLEL``; ``0``/``1``
-    runs serially in-process.  ``max_jobs`` bounds how many jobs this
-    invocation executes (serial only — used for drip-feeding and the
-    resumability tests).  ``reclaim`` recovers claims of dead local
+    ``workers`` is the number of worker processes; ``0`` (the default)
+    or ``1`` runs serially in-process.  ``max_jobs`` bounds how many
+    jobs this invocation executes (serial only — used for drip-feeding
+    and the resumability tests).  ``reclaim`` recovers claims of dead local
     workers before starting.  ``metrics`` stores a ``repro-metrics``
     document per job row; ``trace_dir`` (implies ``metrics``) makes
     every worker write a Chrome trace fragment file into that
@@ -165,8 +166,6 @@ def run_campaign(
     with CampaignStore.open(store_path) as store:
         reclaimed = store.reclaim_dead() if reclaim else 0
         before = store.counts()
-        if workers is None:
-            workers = default_parallelism()
         pending = before["pending"]
         use_pool = (
             workers > 1
@@ -190,15 +189,8 @@ def run_campaign(
         elif trace_dir is not None:
             # Serial tracing mirrors the pool's per-worker fragment
             # contract so downstream merging is shape-independent.
-            worker = local_worker_id()
-            with _obs_recording(label=f"worker:{worker}", trace=True) as rec:
-                with rec.span("campaign/worker"):
-                    _drain(store, worker, max_jobs=max_jobs, metrics=True)
-            write_trace_fragment(
-                os.path.join(trace_dir, "worker-0.json"),
-                worker,
-                os.getpid(),
-                rec.trace_events,
+            _traced_drain(
+                store, local_worker_id(), trace_dir, 0, max_jobs=max_jobs
             )
         else:
             _drain(

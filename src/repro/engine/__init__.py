@@ -10,15 +10,15 @@ One subsystem for every exhaustive search the repository performs:
   restore (replay remains available behind the same interface);
 * :mod:`repro.engine.explorer` — :class:`KernelExplorer`, the
   configuration-graph search used by history exploration and the
-  valency search, with a parity mode asserting snapshot ≡ replay;
-* :mod:`repro.engine.batch` — batched execution of independent plays
-  for the experiment batteries.
+  valency search, with a parity mode asserting snapshot ≡ replay.
+
+The engine only searches: independent plays (the experiment batteries)
+run directly through :func:`repro.sim.runtime.play`.
 
 See ``docs/architecture.md`` for the determinism/fingerprint contract
 all of this rests on.
 """
 
-from repro.engine.batch import PlayTask, default_parallelism, run_play_batch
 from repro.engine.config import (
     ImplementationFactory,
     KernelConfig,
@@ -40,10 +40,7 @@ __all__ = [
     "KernelConfig",
     "KernelExplorer",
     "KernelSnapshot",
-    "PlayTask",
     "ProcessSnapshot",
     "SearchBudgetExceeded",
     "Visit",
-    "default_parallelism",
-    "run_play_batch",
 ]

@@ -32,10 +32,8 @@ from repro.fuzz.trace import (
     ReplayTrace,
     decisions_to_labels,
     labels_to_decisions,
-    load_lasso_trace,
     load_trace,
     replay_schedule,
-    save_lasso_trace,
     save_trace,
     schedule_to_decisions,
 )
@@ -51,10 +49,8 @@ __all__ = [
     "decisions_to_labels",
     "fuzz_workload",
     "labels_to_decisions",
-    "load_lasso_trace",
     "load_trace",
     "replay_schedule",
-    "save_lasso_trace",
     "save_trace",
     "schedule_to_decisions",
     "shrink_schedule",

@@ -35,9 +35,10 @@ unvisited states rather than re-sampling the well-trodden prefix region.
 
 Verdicts are only ever produced by the real safety checker on real
 histories, so the fuzzer cannot report a false violation; a ``holds``
-verdict is horizon-certain only (the budget ran out), which the
-differential oracle (:mod:`repro.fuzz.oracle`) quantifies against the
-exhaustive engine on small instances.
+verdict is horizon-certain only (the budget ran out).  On small
+instances the oracle is the ``verify`` pair: ``--backend fuzz`` and
+``--backend exhaustive`` over the ``small`` scenario slice must agree,
+and every counterexample must ``replay``.
 """
 
 from __future__ import annotations

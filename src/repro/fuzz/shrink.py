@@ -30,6 +30,7 @@ from repro.core.properties import SafetyProperty
 from repro.fuzz.trace import replay_schedule
 from repro.obs.recorder import active as _obs_active
 from repro.sim.explore import Choice, InvocationPlan
+from repro.util.ddmin import ddmin
 from repro.util.errors import UsageError
 
 
@@ -84,22 +85,7 @@ def shrink_schedule(
         )
 
     # Phase 1: ddmin — remove chunks, halving the chunk size on failure.
-    chunk = max(len(current) // 2, 1)
-    while chunk >= 1:
-        shrunk_this_round = False
-        start = 0
-        while start < len(current):
-            candidate = current[:start] + current[start + chunk:]
-            if candidate != current and interesting(candidate):
-                current = candidate
-                shrunk_this_round = True
-                # re-test the same start: the next chunk slid into place
-            else:
-                start += chunk
-        if not shrunk_this_round:
-            if chunk == 1:
-                break
-            chunk = max(chunk // 2, 1)
+    current = ddmin(current, interesting)
 
     # Phase 2: one-at-a-time sweep to a fixpoint (local minimality).
     changed = True

@@ -63,6 +63,16 @@ def _plain(value: Any) -> Any:
     return value
 
 
+def encode_plan(plan: InvocationPlan) -> Dict[str, Any]:
+    """The JSON encoding of an invocation plan: ``{pid: [[op, args],
+    ...]}`` with string pids in ascending order (shared by replay
+    traces and the verdict-cache scenario fingerprint)."""
+    return {
+        str(pid): [[op, _plain(args)] for op, args in ops]
+        for pid, ops in sorted(plan.items())
+    }
+
+
 def _tupled(value: Any) -> Any:
     """Lists to tuples, recursively (JSON decoding; invocation args must
     be hashable)."""
@@ -165,10 +175,7 @@ class ReplayTrace:
         document: Dict[str, Any] = {
             "format": TRACE_FORMAT,
             "version": TRACE_VERSION,
-            "plan": {
-                str(pid): [[op, _plain(args)] for op, args in ops]
-                for pid, ops in sorted(self.plan.items())
-            },
+            "plan": encode_plan(self.plan),
             "schedule": [[kind, pid] for kind, pid in self.schedule],
         }
         for key in ("workload", "implementation", "safety", "holds", "seed"):
@@ -357,9 +364,6 @@ class LassoTrace:
             document["reason"] = self.reason
         return document
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_document(), sort_keys=True, indent=2) + "\n"
-
     @classmethod
     def from_document(cls, document: Dict[str, Any]) -> "LassoTrace":
         if document.get("format") != LASSO_FORMAT:
@@ -382,21 +386,3 @@ class LassoTrace:
             starving=tuple(int(pid) for pid in document.get("starving", [])),
             reason=document.get("reason", ""),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "LassoTrace":
-        try:
-            document = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"bad lasso trace JSON: {exc}") from None
-        return cls.from_document(document)
-
-
-def save_lasso_trace(path: str, trace: LassoTrace) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(trace.to_json())
-
-
-def load_lasso_trace(path: str) -> LassoTrace:
-    with open(path, "r", encoding="utf-8") as handle:
-        return LassoTrace.from_json(handle.read())

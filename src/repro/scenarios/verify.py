@@ -123,6 +123,11 @@ _LIVENESS_OVERRIDES = (
     "lasso_stride",
     "reduction",  # "none" | "dpor" | "dpor-parity" (repro.engine.dpor)
 )
+_BACKEND_OVERRIDES = {
+    "exhaustive": _EXHAUSTIVE_OVERRIDES,
+    "fuzz": _FUZZ_OVERRIDES,
+    "liveness": _LIVENESS_OVERRIDES,
+}
 
 #: Sampling knobs only the fuzz backend understands.  Auto-mode callers
 #: (the CLI, the ``verify`` experiment) drop these for scenarios that
@@ -157,6 +162,37 @@ def resolve_backend(scenario: Union[str, Scenario], backend: str) -> str:
     return backend
 
 
+def resolve_request(
+    scenario: Union[str, Scenario], backend: str, overrides: Dict[str, Any]
+) -> Tuple[Scenario, str, Dict[str, Any]]:
+    """Resolve one verify request to ``(scenario, backend, overrides)``.
+
+    The one request check shared by :func:`verify` and the HTTP
+    service: the scenario id and backend are looked up (unknown names
+    raise the did-you-mean :class:`UsageError`), ``"auto"`` drops the
+    overrides exclusive to the backend it did *not* pick, and every
+    remaining override key must be one the resolved backend honours.
+    """
+    scenario = get_scenario(scenario)
+    resolved = resolve_backend(scenario, backend)
+    if resolved not in BACKENDS:
+        raise unknown_choice("verify backend", resolved, BACKENDS + ("auto",))
+    known = _BACKEND_OVERRIDES[resolved]
+    if backend == "auto":
+        dropped = (
+            FUZZ_ONLY_OVERRIDES
+            if resolved == "exhaustive"
+            else EXHAUSTIVE_ONLY_OVERRIDES
+        )
+        overrides = {
+            key: value for key, value in overrides.items() if key not in dropped
+        }
+    for key in overrides:
+        if key not in known:
+            raise unknown_choice(f"{resolved!r}-backend verify override", key, known)
+    return scenario, resolved, overrides
+
+
 def _expected(scenario: Scenario, outcome: str, backend: str = "exhaustive") -> bool:
     """A budget-exhausted run is never the expected verdict; otherwise
     the outcome must match the scenario's declared expectation for the
@@ -169,12 +205,6 @@ def _expected(scenario: Scenario, outcome: str, backend: str = "exhaustive") -> 
         else scenario.expect_violation
     )
     return (outcome == "violated") == expectation
-
-
-def _check_overrides(backend: str, overrides: Dict[str, Any], known) -> None:
-    for key in overrides:
-        if key not in known:
-            raise unknown_choice(f"{backend!r}-backend verify override", key, known)
 
 
 def _counterexample(
@@ -266,7 +296,6 @@ def _counterexample(
 
 
 def _verify_exhaustive(scenario: Scenario, overrides: Dict[str, Any]) -> Verdict:
-    _check_overrides("exhaustive", overrides, _EXHAUSTIVE_OVERRIDES)
     crash = overrides.get("crash")
     if crash not in (None, "", "none"):
         raise UsageError(
@@ -349,7 +378,6 @@ def _verify_exhaustive(scenario: Scenario, overrides: Dict[str, Any]) -> Verdict
 
 
 def _verify_fuzz(scenario: Scenario, overrides: Dict[str, Any]) -> Verdict:
-    _check_overrides("fuzz", overrides, _FUZZ_OVERRIDES)
     bounds = scenario.bounds.override(
         max_depth=overrides.get("max_depth"),
         iterations=overrides.get("iterations"),
@@ -512,7 +540,6 @@ def _lasso_artifact(
 def _verify_liveness(scenario: Scenario, overrides: Dict[str, Any]) -> Verdict:
     from repro.core.properties import Certainty
 
-    _check_overrides("liveness", overrides, _LIVENESS_OVERRIDES)
     if scenario.liveness_factory is None:
         raise UsageError(
             f"scenario {scenario.scenario_id!r} declares no liveness "
@@ -703,19 +730,7 @@ def verify(
     serialized verdicts are byte-identical with metrics on or off, and
     with no recorder installed the stats gain no keys at all.
     """
-    scenario = get_scenario(scenario)
-    resolved = resolve_backend(scenario, backend)
-    if resolved not in BACKENDS:
-        raise unknown_choice("verify backend", resolved, BACKENDS + ("auto",))
-    if backend == "auto":
-        dropped = (
-            FUZZ_ONLY_OVERRIDES
-            if resolved == "exhaustive"
-            else EXHAUSTIVE_ONLY_OVERRIDES
-        )
-        overrides = {
-            key: value for key, value in overrides.items() if key not in dropped
-        }
+    scenario, resolved, overrides = resolve_request(scenario, backend, overrides)
 
     def dispatch() -> Verdict:
         if resolved == "exhaustive":

@@ -20,17 +20,19 @@ The submit/poll/fetch shape::
 
 Cold-path fan-out: misses run ``verify(scenario, backend=resolved,
 cache="readwrite", cache_path=db)`` on a bounded
-:class:`~concurrent.futures.ProcessPoolExecutor` — the engine's own
-process-level parallel machinery stays available inside each worker,
-and the worker's ``readwrite`` cache mode is what populates the store
-(WAL journaling makes concurrent worker writes safe).  Identical
+:class:`~concurrent.futures.ProcessPoolExecutor` — one job per worker
+at a time, each verify serial inside it — and the worker's
+``readwrite`` cache mode is what populates the store (WAL journaling
+makes concurrent worker writes safe).  Identical
 in-flight requests deduplicate onto one job id; once a job lands in
 the cache, later identical submits answer inline.
 
-Backend resolution happens at submit time (``"auto"`` resolves against
-the scenario's tags, and auto-only overrides are dropped exactly as
-``verify()`` drops them), so the request's cache key always equals the
-key the worker stores under.
+Requests are resolved at submit time by the same
+:func:`~repro.scenarios.verify.resolve_request` ``verify()`` uses
+(``"auto"`` resolves against the scenario's tags and drops the other
+backend's overrides; unknown scenarios, backends and override keys are
+a 400 before any job exists), so the request's cache key always equals
+the key the worker stores under.
 """
 
 from __future__ import annotations
@@ -45,12 +47,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.obs.metrics import metrics_document
 from repro.obs.recorder import Recorder, install as _obs_install
-from repro.scenarios import get_scenario, resolve_backend
-from repro.scenarios.verify import (
-    BACKENDS,
-    EXHAUSTIVE_ONLY_OVERRIDES,
-    FUZZ_ONLY_OVERRIDES,
-)
+from repro.scenarios.verify import resolve_request
 from repro.service.cache import VerdictCache, default_cache_path
 from repro.service.keys import cache_key, code_version
 from repro.util.errors import UsageError
@@ -216,23 +213,10 @@ class ServiceApp:
         overrides = body.get("overrides", {})
         if not isinstance(overrides, dict):
             raise UsageError('"overrides" must be a JSON object')
-        scenario = get_scenario(scenario_id)  # UsageError -> 400
-        resolved = resolve_backend(scenario, backend)
-        if resolved not in BACKENDS:
-            raise UsageError(
-                f"unknown backend {backend!r} (one of {BACKENDS + ('auto',)})"
-            )
-        if backend == "auto":
-            dropped = (
-                FUZZ_ONLY_OVERRIDES
-                if resolved == "exhaustive"
-                else EXHAUSTIVE_ONLY_OVERRIDES
-            )
-            overrides = {
-                key: value
-                for key, value in overrides.items()
-                if key not in dropped
-            }
+        # UsageError -> 400, before any job exists
+        scenario, resolved, overrides = resolve_request(
+            scenario_id, backend, overrides
+        )
         key = cache_key(scenario, resolved, overrides)
         document = self.cache.get(key)  # counts cache/hit | cache/miss
         if document is not None:

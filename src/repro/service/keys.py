@@ -40,6 +40,7 @@ import os
 
 from typing import Any, Dict, Mapping, Optional
 
+from repro.fuzz.trace import encode_plan
 from repro.util.hashing import canonical_fingerprint, normalized
 
 CACHE_KEY_SCHEMA = "repro-verdict-key"
@@ -63,13 +64,6 @@ def code_version() -> str:
     return f"{__version__}+epoch:{epoch}" if epoch else __version__
 
 
-def _plain(value: Any) -> Any:
-    """Tuples to lists, recursively (the replay-trace plan encoding)."""
-    if isinstance(value, (tuple, list)):
-        return [_plain(part) for part in value]
-    return value
-
-
 def scenario_payload(scenario: Any) -> Dict[str, Any]:
     """The declarative content of a scenario that the key hashes.
 
@@ -83,10 +77,7 @@ def scenario_payload(scenario: Any) -> Dict[str, Any]:
     bounds = scenario.bounds
     return {
         "id": scenario.scenario_id,
-        "plan": {
-            str(pid): [[op, _plain(args)] for op, args in ops]
-            for pid, ops in sorted(scenario.plan.items())
-        },
+        "plan": encode_plan(scenario.plan),
         "crash": scenario.crash,
         "bounds": {
             "max_depth": bounds.max_depth,

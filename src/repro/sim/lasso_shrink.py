@@ -13,7 +13,8 @@ independent of the search machinery:
 * :func:`shrink_lasso` minimizes a replaying certificate, analogous to
   the ddmin schedule shrinker (:mod:`repro.fuzz.shrink`): first the
   cycle is reduced to its true period (a strided detector may report a
-  multiple of it), then the stem is ddmin-shrunk chunk-wise.  A
+  multiple of it), then the stem is shrunk chunk-wise by the shared
+  :func:`~repro.util.ddmin.ddmin` loop.  A
   candidate is *interesting* iff it replays validly, still closes the
   cycle (or, for finite certificates, still completes fairly), and the
   liveness property still fails on the replayed run's summary.
@@ -39,6 +40,7 @@ from repro.sim.runtime import (
     abstract_state_fingerprint,
     kernel_state_fingerprint,
 )
+from repro.util.ddmin import ddmin
 from repro.util.errors import SimulationError
 
 #: The certificate kinds replay knows how to re-check.
@@ -245,21 +247,9 @@ def shrink_lasso(
                 break
 
     # Phase 2: ddmin on the stem, cycle fixed.
-    chunk = max(len(current_stem) // 2, 1)
-    while chunk >= 1 and current_stem:
-        shrunk_this_round = False
-        start = 0
-        while start < len(current_stem):
-            candidate = current_stem[:start] + current_stem[start + chunk:]
-            if candidate != current_stem and interesting(candidate, current_cycle):
-                current_stem = candidate
-                shrunk_this_round = True
-            else:
-                start += chunk
-        if not shrunk_this_round:
-            if chunk == 1:
-                break
-            chunk = max(chunk // 2, 1)
+    current_stem = ddmin(
+        current_stem, lambda candidate: interesting(candidate, current_cycle)
+    )
 
     return ShrunkLasso(
         stem=current_stem,

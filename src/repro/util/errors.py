@@ -38,7 +38,7 @@ class UsageError(ReproError):
 
     Raised for malformed CLI/campaign parameters (unknown registry key,
     unparsable crash pattern, bad axis range) and invalid environment
-    configuration such as a non-integer ``REPRO_ENGINE_PARALLEL``.  The
+    configuration such as a non-integer ``REPRO_FAMILY_BUDGET``.  The
     CLI maps this to exit code 2.
     """
 

@@ -22,8 +22,8 @@ from repro.util.errors import UsageError
 def env_int(name: str, default: int, minimum: int = 0) -> int:
     """Read an integer knob from the environment, validated.
 
-    One grammar for every ``REPRO_*`` integer variable
-    (``REPRO_ENGINE_PARALLEL``, ``REPRO_FAMILY_BUDGET``): unset or empty
+    One grammar for every ``REPRO_*`` integer variable (such as
+    ``REPRO_FAMILY_BUDGET``): unset or empty
     means ``default``, values below ``minimum`` clamp to ``minimum``,
     and a non-integer raises :class:`~repro.util.errors.UsageError`
     naming the variable — never a silent fallback.

@@ -247,10 +247,19 @@ class TestRunnerResumability:
             assert not store_all_ok(store)
 
     def test_fork_worker_pool_drains_store(self, tmp_path):
-        path = str(tmp_path / "c.db")
-        make_store(tmp_path / "c.db").close()
-        summary = run_campaign(path, workers=2)
+        pooled, serial = str(tmp_path / "p.db"), str(tmp_path / "s.db")
+        frags = tmp_path / "frags"
+        make_store(pooled).close()
+        make_store(serial).close()
+        summary = run_campaign(pooled, workers=2, trace_dir=str(frags))
         assert summary["pending"] == 0 and summary["done"] == 2
+        names = sorted(os.listdir(frags))
+        assert names == ["worker-0.json", "worker-1.json"]
+        pids = {json.loads((frags / name).read_text())["pid"] for name in names}
+        assert len(pids) == 2
+        run_campaign(serial, workers=0)
+        with CampaignStore.open(pooled) as a, CampaignStore.open(serial) as b:
+            assert export_campaign(a) == export_campaign(b)
 
 
 class TestCampaignCli:

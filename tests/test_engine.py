@@ -216,30 +216,3 @@ class TestEngineParity:
         )
         assert witness is not None
 
-
-class TestDefaultParallelism:
-    def test_unset_means_serial(self, monkeypatch):
-        from repro.engine.batch import default_parallelism
-
-        monkeypatch.delenv("REPRO_ENGINE_PARALLEL", raising=False)
-        assert default_parallelism() == 0
-
-    def test_negative_clamps_to_zero(self, monkeypatch):
-        from repro.engine.batch import default_parallelism
-
-        monkeypatch.setenv("REPRO_ENGINE_PARALLEL", "-3")
-        assert default_parallelism() == 0
-
-    def test_non_integer_is_usage_error_naming_the_variable(self, monkeypatch):
-        from repro.engine.batch import default_parallelism
-        from repro.util.errors import UsageError
-
-        monkeypatch.setenv("REPRO_ENGINE_PARALLEL", "banana")
-        with pytest.raises(UsageError, match="REPRO_ENGINE_PARALLEL"):
-            default_parallelism()
-
-    def test_valid_value_passes_through(self, monkeypatch):
-        from repro.engine.batch import default_parallelism
-
-        monkeypatch.setenv("REPRO_ENGINE_PARALLEL", " 4 ")
-        assert default_parallelism() == 4

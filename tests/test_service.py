@@ -293,6 +293,17 @@ class TestServiceApp:
                         {"scenario": FAST, "overrides": []},
                     )
                 )[0] == 400
+                status, reply = await app.handle(
+                    "POST",
+                    "/v1/verify",
+                    {"scenario": FAST, "overrides": {"bogus": 1}},
+                )
+                assert status == 400 and "bogus" in reply["error"]
+                status, reply = await app.handle(
+                    "POST", "/v1/verify", {"scenario": FAST, "backend": "fuz"}
+                )
+                assert status == 400 and "did you mean" in reply["error"]
+                assert app.jobs == {}
                 assert (await app.handle("GET", "/v1/verify/nope", None))[
                     0
                 ] == 404
